@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -15,11 +14,10 @@
 #include <sstream>
 #include <thread>
 
-#include <poll.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "dse/explorer.hh"
+#include "harness/process_pool.hh"
 
 namespace charon::dse
 {
@@ -28,23 +26,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** write(2) the whole buffer, retrying on EINTR / short writes. */
-bool
-writeAll(int fd, const char *data, std::size_t size)
-{
-    while (size > 0) {
-        ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        size -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 /**
  * Split a journal path into (prefix, suffix) around the canonical
@@ -134,11 +115,11 @@ struct CrashHooks
 workerMain(const std::vector<harness::Cell> &cells,
            const std::vector<std::string> &keys,
            const std::vector<std::vector<std::size_t>> &units,
-           const std::vector<std::size_t> &assigned,
-           const SupervisorConfig &cfg, int shard, int pipeFd)
+           const std::deque<std::size_t> &assigned,
+           const SupervisorConfig &cfg, int jobs, int shard, int pipeFd)
 {
     auto say = [&](const std::string &msg) {
-        writeAll(pipeFd, msg.data(), msg.size());
+        harness::writeAll(pipeFd, msg.data(), msg.size());
     };
 
     SweepJournal journal(shardJournalPath(cfg.journalPath, shard));
@@ -154,6 +135,7 @@ workerMain(const std::vector<harness::Cell> &cells,
     }
 
     harness::RunnerConfig rc = cfg.runner;
+    rc.jobs = jobs;
     rc.timeline = false; // a worker's timeline would die with it
     harness::ExperimentRunner runner(rc);
     runner.setProgressHook([pipeFd] {
@@ -236,18 +218,13 @@ workerMain(const std::vector<harness::Cell> &cells,
 struct Slot
 {
     int shard = 0; ///< shard id == journal suffix
-    pid_t pid = -1;
-    int fd = -1;
-    std::string buf;
+    pid_t pid = -1; ///< live worker, -1 when none
     std::deque<std::size_t> remaining; ///< global unit ids, in order
     long inflight = -1;                ///< unit id from last S
     int attempt = 0;                   ///< restarts consumed
-    bool running = false;
     bool done = false;      ///< all units committed / reassigned away
     bool abandoned = false; ///< restart budget exhausted
     bool stopped = false;   ///< exited 130 after the interrupt fan-out
-    bool timedOut = false;  ///< watchdog SIGKILL pending classify
-    Clock::time_point lastProgress;
     Clock::time_point restartAt;
 };
 
@@ -377,10 +354,6 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
     int shardsNow = std::max(1, cfg.shards);
     int nextShardId = 0;
 
-    const auto progressTimeout =
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(cfg.progressTimeoutSec));
-
     while (!pending.empty() && shardsNow > 0
            && !SweepJournal::interrupted()) {
         // One round: interleave the pending units over the current
@@ -397,40 +370,27 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
             slots[i % slots.size()].remaining.push_back(pending[i]);
         pending.clear();
 
-        harness::RunnerConfig workerRunner = cfg.runner;
-        workerRunner.jobs = std::max(
-            1, totalJobs / static_cast<int>(slots.size()));
+        const int workerJobs =
+            std::max(1, totalJobs / static_cast<int>(slots.size()));
+
+        // The heartbeat watchdog is the pool's idle watchdog: every
+        // protocol line counts as progress.
+        harness::ProcessPool pool(cfg.progressTimeoutSec);
+        auto slotOf = [&](pid_t pid) -> Slot & {
+            return *std::find_if(slots.begin(), slots.end(),
+                                 [&](const Slot &s) { return s.pid == pid; });
+        };
 
         auto spawn = [&](Slot &slot) {
-            int fds[2];
-            if (::pipe(fds) != 0) {
-                result.error = "pipe() failed";
+            slot.pid = pool.spawn([&](int fd) {
+                workerMain(cells, keys, units, slot.remaining, cfg,
+                           workerJobs, slot.shard, fd);
+            });
+            if (slot.pid < 0) {
+                result.error = "pipe() or fork() failed";
                 return false;
             }
-            std::vector<std::size_t> assigned(slot.remaining.begin(),
-                                              slot.remaining.end());
-            SupervisorConfig workerCfg = cfg;
-            workerCfg.runner = workerRunner;
-            pid_t pid = ::fork();
-            if (pid < 0) {
-                ::close(fds[0]);
-                ::close(fds[1]);
-                result.error = "fork() failed";
-                return false;
-            }
-            if (pid == 0) {
-                ::close(fds[0]);
-                workerMain(cells, keys, units, assigned, workerCfg,
-                           slot.shard, fds[1]);
-            }
-            ::close(fds[1]);
-            slot.pid = pid;
-            slot.fd = fds[0];
-            slot.buf.clear();
             slot.inflight = -1;
-            slot.running = true;
-            slot.timedOut = false;
-            slot.lastProgress = Clock::now();
             return true;
         };
 
@@ -453,7 +413,6 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
         };
 
         auto handleMessage = [&](Slot &slot, const std::string &msg) {
-            slot.lastProgress = Clock::now();
             if (msg.empty())
                 return;
             std::istringstream is(msg);
@@ -479,36 +438,35 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
                     ++result.unitsCommitted;
                 }
             }
-            // 'H' and 'F' only refresh lastProgress.
+            // 'H' and 'F' only feed the watchdog.
         };
 
-        auto classifyExit = [&](Slot &slot, int status) {
-            slot.running = false;
-            slot.fd = -1;
+        auto onBytes = [&](pid_t pid, std::string &buf) {
+            Slot &slot = slotOf(pid);
+            std::size_t pos;
+            while ((pos = buf.find('\n')) != std::string::npos) {
+                handleMessage(slot, buf.substr(0, pos));
+                buf.erase(0, pos + 1);
+            }
+        };
+
+        auto classifyExit = [&](Slot &slot,
+                                const harness::ProcessPool::Exited &ex) {
             slot.pid = -1;
-            bool crashed;
-            std::string why;
-            if (slot.timedOut) {
-                crashed = true;
+            std::string why; // empty: a clean exit
+            if (ex.timedOut) {
                 why = "no progress for "
                       + std::to_string(cfg.progressTimeoutSec)
                       + "s (watchdog)";
-            } else if (WIFSIGNALED(status)) {
-                crashed = true;
-                why = std::string("signal ")
-                      + std::to_string(WTERMSIG(status));
-            } else if (WIFEXITED(status)
-                       && WEXITSTATUS(status) == 130) {
+            } else if (ex.signal != 0) {
+                why = "signal " + std::to_string(ex.signal);
+            } else if (ex.code == 130) {
                 slot.stopped = true;
                 return;
-            } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-                crashed = true;
-                why = "exit status "
-                      + std::to_string(WEXITSTATUS(status));
-            } else {
-                crashed = false;
+            } else if (ex.code != 0) {
+                why = "exit status " + std::to_string(ex.code);
             }
-            if (!crashed || slot.remaining.empty()) {
+            if (why.empty() || slot.remaining.empty()) {
                 // Clean exit — or a crash *after* the last unit
                 // committed (the crash-hook tail case): the shard's
                 // work is done either way.
@@ -524,14 +482,9 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
             if (slot.attempt < cfg.restartsPerShard) {
                 ++slot.attempt;
                 ++result.restarts;
-                double backoff =
-                    cfg.backoffBaseSec
-                    * static_cast<double>(1 << std::min(
-                          slot.attempt - 1, 6));
-                slot.restartAt =
-                    Clock::now()
-                    + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(backoff));
+                const double backoff = harness::ProcessPool::backoffSec(
+                    cfg.backoffBaseSec, slot.attempt - 1);
+                slot.restartAt = harness::ProcessPool::after(backoff);
                 info("dse: shard %d died (%s); restart %d/%d in "
                      "%.1fs, %zu unit(s) left\n",
                      slot.shard, why.c_str(), slot.attempt,
@@ -559,7 +512,7 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
                && !spawnFailed) {
             const auto now = Clock::now();
             for (auto &slot : slots) {
-                if (slot.running || slot.done || slot.abandoned
+                if (slot.pid > 0 || slot.done || slot.abandoned
                     || slot.stopped)
                     continue;
                 if (slot.remaining.empty()) {
@@ -570,157 +523,21 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
                     spawnFailed = true;
             }
 
-            std::vector<pollfd> fds;
-            std::vector<Slot *> fdOwner;
-            for (auto &slot : slots) {
-                if (slot.running) {
-                    fds.push_back(pollfd{slot.fd, POLLIN, 0});
-                    fdOwner.push_back(&slot);
-                }
-            }
-            if (fds.empty()) {
-                // Every live slot is backing off: nap to the nearest
-                // restart edge (capped so interrupts stay responsive).
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-                continue;
-            }
-            // Bounded poll slice: signal flag and watchdog both get
-            // re-checked at least once a second.
-            ::poll(fds.data(), fds.size(), 200);
-
-            if (cfg.progressTimeoutSec > 0) {
-                for (auto &slot : slots) {
-                    if (slot.running && !slot.timedOut
-                        && Clock::now() - slot.lastProgress
-                               > progressTimeout) {
-                        slot.timedOut = true;
-                        ::kill(slot.pid, SIGKILL);
-                    }
-                }
-            }
-
-            for (std::size_t k = 0; k < fds.size(); ++k) {
-                Slot &slot = *fdOwner[k];
-                if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR))
-                    && !slot.timedOut)
-                    continue;
-                char chunk[4096];
-                ssize_t n = ::read(slot.fd, chunk, sizeof(chunk));
-                if (n > 0) {
-                    slot.buf.append(chunk,
-                                    static_cast<std::size_t>(n));
-                    std::size_t pos;
-                    while ((pos = slot.buf.find('\n'))
-                           != std::string::npos) {
-                        handleMessage(slot, slot.buf.substr(0, pos));
-                        slot.buf.erase(0, pos + 1);
-                    }
-                    continue;
-                }
-                if (n < 0 && (errno == EINTR || errno == EAGAIN))
-                    continue;
-                // EOF: reap and classify.
-                ::close(slot.fd);
-                int status = 0;
-                pid_t pid = slot.pid;
-                while (::waitpid(pid, &status, 0) < 0
-                       && errno == EINTR) {
-                }
-                classifyExit(slot, status);
-            }
+            // Bounded slices: the signal flag gets re-checked at least
+            // every 200 ms, and a backing-off slot every 20 ms.
+            for (const auto &ex :
+                 pool.poll(pool.size() > 0 ? 0.2 : 0.02, onBytes))
+                classifyExit(slotOf(ex.pid), ex);
         }
 
         // Interrupt fan-out: SIGTERM every live worker, give the
         // drain window for unit-boundary exits (their D messages
-        // still count), then SIGKILL stragglers.
+        // still count), then SIGKILL stragglers.  After a spawn
+        // failure the pool's destructor SIGKILLs the round's
+        // survivors so no orphan keeps writing behind the report.
         if (SweepJournal::interrupted()) {
-            for (auto &slot : slots)
-                if (slot.running)
-                    ::kill(slot.pid, SIGTERM);
-            const auto deadline =
-                Clock::now()
-                + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(cfg.drainSec));
-            auto anyRunning = [&] {
-                for (const auto &s : slots)
-                    if (s.running)
-                        return true;
-                return false;
-            };
-            while (anyRunning() && Clock::now() < deadline) {
-                std::vector<pollfd> fds;
-                std::vector<Slot *> fdOwner;
-                for (auto &slot : slots) {
-                    if (slot.running) {
-                        fds.push_back(pollfd{slot.fd, POLLIN, 0});
-                        fdOwner.push_back(&slot);
-                    }
-                }
-                ::poll(fds.data(), fds.size(), 100);
-                for (std::size_t k = 0; k < fds.size(); ++k) {
-                    Slot &slot = *fdOwner[k];
-                    if (!(fds[k].revents
-                          & (POLLIN | POLLHUP | POLLERR)))
-                        continue;
-                    char chunk[4096];
-                    ssize_t n =
-                        ::read(slot.fd, chunk, sizeof(chunk));
-                    if (n > 0) {
-                        slot.buf.append(
-                            chunk, static_cast<std::size_t>(n));
-                        std::size_t pos;
-                        while ((pos = slot.buf.find('\n'))
-                               != std::string::npos) {
-                            handleMessage(slot,
-                                          slot.buf.substr(0, pos));
-                            slot.buf.erase(0, pos + 1);
-                        }
-                        continue;
-                    }
-                    if (n < 0
-                        && (errno == EINTR || errno == EAGAIN))
-                        continue;
-                    ::close(slot.fd);
-                    int status = 0;
-                    while (::waitpid(slot.pid, &status, 0) < 0
-                           && errno == EINTR) {
-                    }
-                    slot.running = false;
-                    slot.stopped = true;
-                    slot.pid = -1;
-                    slot.fd = -1;
-                }
-            }
-            for (auto &slot : slots) {
-                if (!slot.running)
-                    continue;
-                ::kill(slot.pid, SIGKILL);
-                ::close(slot.fd);
-                int status = 0;
-                while (::waitpid(slot.pid, &status, 0) < 0
-                       && errno == EINTR) {
-                }
-                slot.running = false;
-                slot.stopped = true;
-            }
+            pool.terminate(cfg.drainSec, onBytes);
             result.interrupted = true;
-        }
-
-        if (spawnFailed) {
-            // fork/pipe exhaustion: stop the round's survivors so no
-            // orphan keeps writing behind the failure report.
-            for (auto &slot : slots) {
-                if (!slot.running)
-                    continue;
-                ::kill(slot.pid, SIGKILL);
-                ::close(slot.fd);
-                int status = 0;
-                while (::waitpid(slot.pid, &status, 0) < 0
-                       && errno == EINTR) {
-                }
-                slot.running = false;
-            }
         }
 
         // Collect what this round left over.

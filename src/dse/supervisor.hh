@@ -7,8 +7,9 @@
  * deterministic interleaved partition of the sweep's *units* (a unit
  * is the group of cells that one worker must evaluate together — the
  * two cells of one DsePoint, or one preset cell) into its own
- * per-shard journal (`<journal>.shard-K.dse.jsonl`).  The supervisor
- * owns the robustness machinery around those workers:
+ * per-shard journal (`<journal>.shard-K.dse.jsonl`).  The workers are
+ * harness::ProcessPool children; on top of that process layer the
+ * supervisor owns the robustness policy around them:
  *
  *  - a pipe-based heartbeat watchdog: workers tick on every cell of
  *    runner progress, and a shard that makes no progress within the

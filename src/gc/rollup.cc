@@ -91,7 +91,7 @@ writeRollup(std::ostream &os, const RunRollup &rollup)
         io::putU64(os, gc.phases.size());
         for (const auto &phase : gc.phases) {
             io::putU64(os, static_cast<std::uint64_t>(phase.kind));
-            io::putF64(os, phase.wallSeconds);
+            io::putF64(os, phase.simSeconds);
             io::putF64(os, phase.glueSeconds);
             for (const auto &cell : phase.prims) {
                 io::putF64(os, cell.seconds);
@@ -133,7 +133,7 @@ readRollup(std::istream &is, RunRollup &rollup, std::string *error)
             std::uint64_t kind;
             if (!io::getU64(is, kind)
                 || kind > static_cast<std::uint64_t>(kLastPhaseKind)
-                || !io::getF64(is, phase.wallSeconds)
+                || !io::getF64(is, phase.simSeconds)
                 || !io::getF64(is, phase.glueSeconds)) {
                 return fail("truncated rollup stream");
             }
@@ -165,7 +165,7 @@ rollupEquals(const RunRollup &a, const RunRollup &b)
         for (std::size_t p = 0; p < x.phases.size(); ++p) {
             const PhaseRollup &u = x.phases[p];
             const PhaseRollup &v = y.phases[p];
-            if (u.kind != v.kind || u.wallSeconds != v.wallSeconds
+            if (u.kind != v.kind || u.simSeconds != v.simSeconds
                 || u.glueSeconds != v.glueSeconds) {
                 return false;
             }

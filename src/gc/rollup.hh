@@ -37,8 +37,8 @@ struct RollupCell
 struct PhaseRollup
 {
     PhaseKind kind = PhaseKind::MinorRoots;
-    /** Barrier-to-barrier phase time (wall clock of the pause). */
-    double wallSeconds = 0;
+    /** Barrier-to-barrier phase time in simulated seconds. */
+    double simSeconds = 0;
     /** Per-primitive aggregates, indexed by PrimKind. */
     RollupCell prims[kNumPrimKinds];
     /** Non-offloadable host glue ("Other" in Figure 4). */

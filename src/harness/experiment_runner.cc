@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <exception>
@@ -12,12 +10,8 @@
 #include <sstream>
 #include <thread>
 
-#include <poll.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "gc/trace_io.hh"
+#include "harness/process_pool.hh"
 #include "platform/platform_sim.hh"
 #include "sim/logging.hh"
 #include "workload/g1_mutator.hh"
@@ -367,22 +361,14 @@ putTiming(std::ostream &os, const platform::RunTiming &t)
     putBreakdown(os, t.minorBreakdown);
     putBreakdown(os, t.majorBreakdown);
     putU64(os, t.gcs.size());
+    gc::RunRollup rollups; // carries each collection's major flag
     for (const auto &gc : t.gcs) {
-        putU64(os, gc.major ? 1 : 0);
         putF64(os, gc.seconds);
+        putF64(os, gc.unitSeconds);
         putBreakdown(os, gc.breakdown);
-        putU64(os, gc.rollup.phases.size());
-        for (const auto &phase : gc.rollup.phases) {
-            putU64(os, static_cast<std::uint64_t>(phase.kind));
-            putF64(os, phase.wallSeconds);
-            for (const auto &prim : phase.prims) {
-                putF64(os, prim.seconds);
-                putU64(os, prim.bytes);
-                putU64(os, prim.invocations);
-            }
-            putF64(os, phase.glueSeconds);
-        }
+        rollups.gcs.push_back(gc.rollup);
     }
+    gc::writeRollup(os, rollups);
 }
 
 bool
@@ -404,29 +390,19 @@ getTiming(std::istream &is, platform::RunTiming &t)
     t.platform = static_cast<sim::PlatformKind>(platform);
     t.gcs.resize(gcs);
     for (auto &gc : t.gcs) {
-        std::uint64_t major, phases;
-        if (!getU64(is, major) || !getF64(is, gc.seconds)
-            || !getBreakdown(is, gc.breakdown) || !getU64(is, phases)) {
+        if (!getF64(is, gc.seconds) || !getF64(is, gc.unitSeconds)
+            || !getBreakdown(is, gc.breakdown)) {
             return false;
         }
-        gc.major = major != 0;
-        gc.rollup.major = gc.major;
-        gc.rollup.phases.resize(phases);
-        for (auto &phase : gc.rollup.phases) {
-            std::uint64_t kind;
-            if (!getU64(is, kind) || !getF64(is, phase.wallSeconds))
-                return false;
-            phase.kind = static_cast<gc::PhaseKind>(kind);
-            for (auto &prim : phase.prims) {
-                if (!getF64(is, prim.seconds)
-                    || !getU64(is, prim.bytes)
-                    || !getU64(is, prim.invocations)) {
-                    return false;
-                }
-            }
-            if (!getF64(is, phase.glueSeconds))
-                return false;
-        }
+    }
+    gc::RunRollup rollups;
+    if (!gc::readRollup(is, rollups, nullptr)
+        || rollups.gcs.size() != gcs) {
+        return false;
+    }
+    for (std::size_t g = 0; g < gcs; ++g) {
+        t.gcs[g].rollup = std::move(rollups.gcs[g]);
+        t.gcs[g].major = t.gcs[g].rollup.major;
     }
     return true;
 }
@@ -439,17 +415,8 @@ putCellResult(std::ostream &os, const CellResult &res)
     putU64(os, res.oom ? 1 : 0);
     putString(os, res.error);
     putU64(os, res.run ? 1 : 0);
-    if (res.run) {
-        const FunctionalRun &r = *res.run;
-        putU64(os, static_cast<std::uint64_t>(r.cubeShift));
-        putU64(os, r.oom ? 1 : 0);
-        putU64(os, r.gcsMinor);
-        putU64(os, r.gcsMajor);
-        putU64(os, r.markCycles);
-        putU64(os, r.allocatedBytes);
-        putU64(os, r.mutatorInstructions);
-        gc::writeTrace(os, r.trace);
-    }
+    if (res.run)
+        writeRun(os, *res.run);
     putTiming(os, res.timing);
 }
 
@@ -466,39 +433,11 @@ getCellResult(std::istream &is, CellResult &res)
     res.oom = oom != 0;
     if (has_run) {
         auto run = std::make_shared<FunctionalRun>();
-        std::uint64_t cube_shift, run_oom;
-        if (!getU64(is, cube_shift) || !getU64(is, run_oom)
-            || !getU64(is, run->gcsMinor) || !getU64(is, run->gcsMajor)
-            || !getU64(is, run->markCycles)
-            || !getU64(is, run->allocatedBytes)
-            || !getU64(is, run->mutatorInstructions)) {
-            return false;
-        }
-        run->cubeShift = static_cast<int>(cube_shift);
-        run->oom = run_oom != 0;
-        std::string error;
-        if (!gc::readTrace(is, run->trace, &error))
+        if (!readRun(is, *run))
             return false;
         res.run = std::move(run);
     }
     return getTiming(is, res.timing);
-}
-
-/** write(2) the whole buffer, retrying on EINTR / short writes. */
-bool
-writeAll(int fd, const char *data, std::size_t size)
-{
-    while (size > 0) {
-        ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        size -= static_cast<std::size_t>(n);
-    }
-    return true;
 }
 
 } // namespace
@@ -506,7 +445,7 @@ writeAll(int fd, const char *data, std::size_t size)
 std::vector<CellResult>
 ExperimentRunner::runIsolated(const std::vector<Cell> &cells)
 {
-    using Clock = std::chrono::steady_clock;
+    using Clock = ProcessPool::Clock;
 
     std::vector<CellResult> results(cells.size());
     if (timeline_) {
@@ -522,36 +461,24 @@ ExperimentRunner::runIsolated(const std::vector<Cell> &cells)
             keys[i] = resolve(cells[i].key);
     }
 
-    const auto timeout = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(cellTimeoutSec_));
-
-    struct Pending
+    struct Attempt
     {
         std::size_t cell;
         int attempt;
         Clock::time_point notBefore;
     };
-    struct Child
-    {
-        pid_t pid;
-        int fd;
-        std::size_t cell;
-        int attempt;
-        std::string buf;
-        Clock::time_point deadline;
-        bool timedOut = false;
-    };
-
-    std::deque<Pending> queue;
+    std::deque<Attempt> queue;
     for (std::size_t i = 0; i < cells.size(); ++i)
-        queue.push_back(Pending{i, 0, Clock::now()});
-    std::vector<Child> active;
+        queue.push_back(Attempt{i, 0, Clock::now()});
+    std::map<pid_t, Attempt> running;
+    // A cell's child writes nothing until it ships its whole result,
+    // so the pool's idle watchdog is the per-cell deadline.
+    ProcessPool pool(cellTimeoutSec_);
 
-    auto runChild = [&](std::size_t i) {
-        // In the child: do the cell end-to-end, ship the result,
-        // and _Exit without running atexit handlers.  Any escape —
-        // crash, hang, sanitizer abort, exception past this frame —
-        // is classified by the parent from the wait status.
+    auto runChild = [&](std::size_t i, int fd) {
+        // In the child: do the cell end-to-end and ship the result.
+        // Any escape — crash, hang, sanitizer abort — is classified
+        // by the parent from the exit status.
         CellResult res;
         try {
             if (cells[i].customRun) {
@@ -577,142 +504,71 @@ ExperimentRunner::runIsolated(const std::vector<Cell> &cells)
         }
         std::ostringstream os;
         putCellResult(os, res);
-        return os.str();
+        const std::string payload = os.str();
+        writeAll(fd, payload.data(), payload.size());
     };
 
-    auto spawn = [&](const Pending &p) {
-        int fds[2];
-        if (::pipe(fds) != 0)
-            sim::fatal("isolated runner: pipe() failed");
-        pid_t pid = ::fork();
-        if (pid < 0)
-            sim::fatal("isolated runner: fork() failed");
-        if (pid == 0) {
-            ::close(fds[0]);
-            const std::string payload = runChild(p.cell);
-            writeAll(fds[1], payload.data(), payload.size());
-            ::close(fds[1]);
-            std::_Exit(0);
-        }
-        ::close(fds[1]);
-        active.push_back(Child{pid, fds[0], p.cell, p.attempt, {},
-                               Clock::now() + timeout});
-    };
-
-    auto classify = [&](Child &c, int status) {
-        CellResult res;
+    auto classify = [&](const Attempt &a, const ProcessPool::Exited &ex) {
         std::string why;
-        if (c.timedOut) {
+        if (ex.timedOut) {
             why = sim::format("timed out after %.1fs", cellTimeoutSec_);
-        } else if (WIFSIGNALED(status)) {
-            why = sim::format("killed by signal %d (%s)",
-                              WTERMSIG(status),
-                              strsignal(WTERMSIG(status)));
-        } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-            why = sim::format("exited with status %d",
-                              WEXITSTATUS(status));
+        } else if (ex.signal != 0) {
+            why = sim::format("killed by signal %d (%s)", ex.signal,
+                              strsignal(ex.signal));
+        } else if (ex.code != 0) {
+            why = sim::format("exited with status %d", ex.code);
         } else {
-            std::istringstream is(c.buf);
+            CellResult res;
+            std::istringstream is(ex.buf);
             if (getCellResult(is, res)) {
-                results[c.cell] = std::move(res);
+                results[a.cell] = std::move(res);
                 return;
             }
             why = "truncated result payload (crashed mid-write?)";
         }
-        if (c.attempt < cellRetries_) {
+        if (a.attempt < cellRetries_) {
             // Exponential backoff before the retry: transient trouble
             // (resource pressure) gets room to clear; deterministic
             // crashes burn through quickly and quarantine.
-            auto backoff = std::chrono::milliseconds(100)
-                           * (1 << std::min(c.attempt, 6));
-            queue.push_back(
-                Pending{c.cell, c.attempt + 1, Clock::now() + backoff});
+            queue.push_back(Attempt{
+                a.cell, a.attempt + 1,
+                ProcessPool::after(ProcessPool::backoffSec(0.1, a.attempt))});
             return;
         }
-        results[c.cell].ok = false;
-        results[c.cell].error = sim::format(
-            "quarantined after %d attempt(s): %s", c.attempt + 1,
+        results[a.cell].ok = false;
+        results[a.cell].error = sim::format(
+            "quarantined after %d attempt(s): %s", a.attempt + 1,
             why.c_str());
     };
 
-    while (!queue.empty() || !active.empty()) {
+    const auto slots = static_cast<std::size_t>(jobs_);
+    while (!queue.empty() || pool.size() > 0) {
         // Fill free job slots with pending cells whose backoff has
         // elapsed (FIFO, so retries do not starve fresh cells).
         const auto now = Clock::now();
         for (auto it = queue.begin();
-             it != queue.end()
-             && active.size() < static_cast<std::size_t>(jobs_);) {
-            if (it->notBefore <= now) {
-                spawn(*it);
-                it = queue.erase(it);
-            } else {
+             it != queue.end() && pool.size() < slots;) {
+            if (it->notBefore > now) {
                 ++it;
-            }
-        }
-
-        if (active.empty()) {
-            // Everything pending is backing off: sleep to the nearest
-            // notBefore.
-            auto wake = queue.front().notBefore;
-            for (const auto &p : queue)
-                wake = std::min(wake, p.notBefore);
-            std::this_thread::sleep_until(wake);
-            continue;
-        }
-
-        // Poll until data, EOF, or the nearest deadline/backoff edge.
-        auto wake = active.front().deadline;
-        for (const auto &c : active)
-            wake = std::min(wake, c.deadline);
-        for (const auto &p : queue)
-            wake = std::min(wake, p.notBefore);
-        int poll_ms = static_cast<int>(std::max<std::int64_t>(
-            0, std::chrono::duration_cast<std::chrono::milliseconds>(
-                   wake - Clock::now())
-                   .count()));
-        std::vector<pollfd> fds(active.size());
-        for (std::size_t k = 0; k < active.size(); ++k)
-            fds[k] = pollfd{active[k].fd, POLLIN, 0};
-        ::poll(fds.data(), fds.size(), std::min(poll_ms, 1000));
-
-        // Enforce deadlines: a hung child is killed and then reaped
-        // through the normal EOF path.
-        for (auto &c : active) {
-            if (!c.timedOut && Clock::now() >= c.deadline) {
-                c.timedOut = true;
-                ::kill(c.pid, SIGKILL);
-            }
-        }
-
-        for (std::size_t k = 0; k < active.size();) {
-            Child &c = active[k];
-            if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR))
-                && !c.timedOut) {
-                ++k;
                 continue;
             }
-            char chunk[65536];
-            ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
-            if (n > 0) {
-                c.buf.append(chunk, static_cast<std::size_t>(n));
-                ++k;
-                continue;
-            }
-            if (n < 0 && (errno == EINTR || errno == EAGAIN)) {
-                ++k;
-                continue;
-            }
-            // EOF (or read error): the child is done; reap and
-            // classify it.
-            ::close(c.fd);
-            int status = 0;
-            ::waitpid(c.pid, &status, 0);
-            classify(c, status);
+            const std::size_t i = it->cell;
+            pid_t pid = pool.spawn([&, i](int fd) { runChild(i, fd); });
+            if (pid < 0)
+                sim::fatal("isolated runner: pipe() or fork() failed");
+            running.emplace(pid, *it);
+            it = queue.erase(it);
+        }
+
+        // Wait for a child; while a free slot has retries backing off,
+        // wake every 20 ms to start them.
+        const bool backingOff = !queue.empty() && pool.size() < slots;
+        for (const auto &ex : pool.poll(backingOff ? 0.02 : 1.0)) {
+            auto it = running.find(ex.pid);
+            classify(it->second, ex);
+            running.erase(it);
             if (onProgress_)
                 onProgress_();
-            fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(k));
-            active.erase(active.begin()
-                         + static_cast<std::ptrdiff_t>(k));
         }
     }
     return results;

@@ -46,12 +46,14 @@ struct RunnerConfig
     bool timeline = false;
     /**
      * Crash isolation (--cell-timeout): when > 0, every cell runs
-     * end-to-end in its own forked child process with this wall-clock
-     * deadline in seconds.  A cell that hangs is SIGKILLed at the
-     * deadline; a cell that crashes (signal, abort, sanitizer trap)
-     * takes only itself down.  Parallelism comes from up to `jobs`
-     * concurrent children, so the parent stays single-threaded and
-     * fork-safe.  Timelines are not collected in this mode.
+     * end-to-end in its own forked child process (harness::ProcessPool)
+     * with this deadline in seconds.  A child writes nothing until it
+     * ships its finished result, so the pool's idle watchdog SIGKILLs
+     * a hung cell at the deadline; a cell that crashes (signal, abort,
+     * sanitizer trap) takes only itself down.  Parallelism comes from
+     * up to `jobs` concurrent children, so the parent stays
+     * single-threaded and fork-safe.  Timelines are not collected in
+     * this mode.
      */
     double cellTimeoutSec = 0;
     /**

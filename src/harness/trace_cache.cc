@@ -33,8 +33,7 @@ fnv1a(const std::string &s)
 }
 
 void
-writeHeader(std::ostream &os, const FunctionalKey &key,
-            const FunctionalRun &run)
+writeHeader(std::ostream &os, const FunctionalKey &key)
 {
     using namespace gc::io;
     os.write(kCacheMagic, sizeof(kCacheMagic));
@@ -46,17 +45,10 @@ writeHeader(std::ostream &os, const FunctionalKey &key,
     putU64(os, static_cast<std::uint64_t>(key.gcThreads));
     putU64(os, static_cast<std::uint64_t>(key.numCubes));
     putU64(os, key.copyOffloadThreshold);
-    putU64(os, static_cast<std::uint64_t>(run.cubeShift));
-    putU64(os, run.oom ? 1 : 0);
-    putU64(os, run.gcsMinor);
-    putU64(os, run.gcsMajor);
-    putU64(os, run.markCycles);
-    putU64(os, run.allocatedBytes);
-    putU64(os, run.mutatorInstructions);
 }
 
 bool
-readHeader(std::istream &is, const FunctionalKey &key, FunctionalRun &run)
+readHeader(std::istream &is, const FunctionalKey &key)
 {
     using namespace gc::io;
     char magic[8];
@@ -85,6 +77,29 @@ readHeader(std::istream &is, const FunctionalKey &key, FunctionalRun &run)
         || copy_thr != key.copyOffloadThreshold) {
         return false;
     }
+    return true;
+}
+
+} // namespace
+
+void
+writeRun(std::ostream &os, const FunctionalRun &run)
+{
+    using namespace gc::io;
+    putU64(os, static_cast<std::uint64_t>(run.cubeShift));
+    putU64(os, run.oom ? 1 : 0);
+    putU64(os, run.gcsMinor);
+    putU64(os, run.gcsMajor);
+    putU64(os, run.markCycles);
+    putU64(os, run.allocatedBytes);
+    putU64(os, run.mutatorInstructions);
+    gc::writeTrace(os, run.trace);
+}
+
+bool
+readRun(std::istream &is, FunctionalRun &run)
+{
+    using namespace gc::io;
     std::uint64_t cube_shift, oom;
     if (!getU64(is, cube_shift) || !getU64(is, oom)
         || !getU64(is, run.gcsMinor) || !getU64(is, run.gcsMajor)
@@ -94,10 +109,8 @@ readHeader(std::istream &is, const FunctionalKey &key, FunctionalRun &run)
     }
     run.cubeShift = static_cast<int>(cube_shift);
     run.oom = oom != 0;
-    return true;
+    return gc::readTrace(is, run.trace, nullptr);
 }
-
-} // namespace
 
 TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {}
 
@@ -125,10 +138,7 @@ TraceCache::load(const FunctionalKey &key, FunctionalRun &out) const
     if (!is)
         return false;
     FunctionalRun run;
-    if (!readHeader(is, key, run))
-        return false;
-    std::string error;
-    if (!gc::readTrace(is, run.trace, &error))
+    if (!readHeader(is, key) || !readRun(is, run))
         return false;
     out = std::move(run);
     return true;
@@ -157,8 +167,8 @@ TraceCache::store(const FunctionalKey &key, const FunctionalRun &run) const
             sim::warn("trace cache: cannot write %s", tmp_path.c_str());
             return false;
         }
-        writeHeader(os, key, run);
-        gc::writeTrace(os, run.trace);
+        writeHeader(os, key);
+        writeRun(os, run);
         if (!os) {
             sim::warn("trace cache: write failure on %s",
                       tmp_path.c_str());

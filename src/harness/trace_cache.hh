@@ -23,6 +23,12 @@
 namespace charon::harness
 {
 
+/** A FunctionalRun as a cache entry stores it after the key header
+ *  (summary counters, then the trace), and as an isolated cell ships
+ *  it to the parent.  readRun fails on truncated or corrupt input. */
+void writeRun(std::ostream &os, const FunctionalRun &run);
+bool readRun(std::istream &is, FunctionalRun &run);
+
 class TraceCache
 {
   public:

@@ -301,7 +301,7 @@ PlatformSim::runPhase(const gc::PhaseTrace &phase,
     // accumulated (so rollup totals match PrimBreakdown exactly),
     // joined with the functional trace's byte/invocation counts.
     rollup.kind = phase.kind;
-    rollup.wallSeconds = sim::ticksToSeconds(eq_.now() - phase_start);
+    rollup.simSeconds = sim::ticksToSeconds(eq_.now() - phase_start);
     rollup.glueSeconds = breakdown.glue;
     // One columnar pass yields every kind's byte/invocation totals.
     const auto totals = phase.primTotals();

@@ -466,7 +466,7 @@ TEST(ExperimentRunner, RollupMatchesBreakdownExactly)
         for (const auto &gc_timing : timing.gcs) {
             double wall = 0;
             for (const auto &phase : gc_timing.rollup.phases)
-                wall += phase.wallSeconds;
+                wall += phase.simSeconds;
             if (charon)
                 EXPECT_LE(wall, gc_timing.seconds + 1e-9);
             else

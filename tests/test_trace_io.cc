@@ -242,7 +242,7 @@ syntheticRollup()
     minor.major = false;
     PhaseRollup roots;
     roots.kind = PhaseKind::MinorRoots;
-    roots.wallSeconds = 0.25;
+    roots.simSeconds = 0.25;
     roots.glueSeconds = 0.125;
     roots.prims[static_cast<int>(PrimKind::Copy)] = {0.5, 4096, 7};
     roots.prims[static_cast<int>(PrimKind::ScanPush)] = {0.0625, 128,
@@ -254,7 +254,7 @@ syntheticRollup()
     major.major = true;
     PhaseRollup compact;
     compact.kind = PhaseKind::MajorCompact;
-    compact.wallSeconds = 1.5;
+    compact.simSeconds = 1.5;
     compact.glueSeconds = 0.75;
     compact.prims[static_cast<int>(PrimKind::BitmapCount)] = {
         0.375, 1 << 20, 99};
@@ -297,7 +297,7 @@ TEST(RollupIo, EqualityDetectsDifferences)
     b.gcs[1].phases[0].prims[0].invocations += 1;
     EXPECT_FALSE(rollupEquals(a, b));
     b = syntheticRollup();
-    b.gcs[0].phases[0].wallSeconds += 1e-12;
+    b.gcs[0].phases[0].simSeconds += 1e-12;
     EXPECT_FALSE(rollupEquals(a, b));
 }
 
