@@ -71,6 +71,9 @@ class HostModel
     /** Window-limited dependent-miss rate (bytes/tick, 64 B lines). */
     double randomRate() const;
 
+    const sim::HostConfig &config() const { return cfg_; }
+
+  private:
     /** Per-invocation fixed overhead (call setup, checks), ticks. */
     sim::Tick invocationOverhead(gc::PrimKind kind) const;
 
@@ -79,18 +82,12 @@ class HostModel
 
     /**
      * Memory-stall counter hooks: one GC thread entered (left) an
-     * in-flight primitive bucket at tick @p at.  Only meaningful with
-     * instrumentation attached — without a timeline both are no-ops,
-     * matching the scalar execBucket path.  Exposed so the batched
-     * replay kernel can reproduce the counter samples the event-driven
-     * path emits, in the same order at the same ticks.
+     * in-flight primitive bucket at tick @p at.  No-ops without a
+     * timeline attached.
      */
     void noteStallBegin(sim::Tick at);
     void noteStallEnd(sim::Tick at);
 
-    const sim::HostConfig &config() const { return cfg_; }
-
-  private:
     void execCopySearch(const gc::Bucket &b, mem::Addr addr,
                         mem::StreamCallback done);
     void execScanPush(const gc::Bucket &b, mem::Addr addr,
