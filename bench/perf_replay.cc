@@ -17,7 +17,8 @@
  *    `--check=OLD.json` fails iff the digest differs, so CI catches
  *    functional regressions without ever failing on timing noise.
  *    The old digest is read before anything is written, so --check
- *    may name the --out file itself.
+ *    may name the --out file itself; on a mismatch that file keeps
+ *    its baseline.
  */
 
 #include <sys/resource.h>
@@ -105,6 +106,51 @@ peakRssKib()
     if (getrusage(RUSAGE_SELF, &ru) != 0)
         return 0;
     return static_cast<std::uint64_t>(ru.ru_maxrss); // KiB on Linux
+}
+
+/** Write the result document; false when @p path cannot be opened. */
+bool
+writeResult(const std::string &path, int repeat,
+            const std::vector<CellPerf> &perf, double totalWall,
+            std::uint64_t totalEvents, const std::string &digest)
+{
+    std::ofstream out(path);
+    if (!out) {
+        std::fprintf(stderr, "perf_replay: cannot write %s\n",
+                     path.c_str());
+        return false;
+    }
+    out << "{\n  \"bench\": \"perf_replay\",\n";
+    out << "  \"repeat\": " << repeat << ",\n";
+    out << "  \"cells\": [\n";
+    char line[512];
+    for (std::size_t i = 0; i < perf.size(); ++i) {
+        const auto &p = perf[i];
+        std::snprintf(
+            line, sizeof line,
+            "    {\"workload\": \"%s\", \"platform\": \"%s\", "
+            "\"wall_ms\": %.3f, \"events\": %" PRIu64
+            ", \"events_per_sec\": %.0f, \"gc_seconds\": %.17g, "
+            "\"energy_j\": %.17g}%s\n",
+            p.workload.c_str(), sim::platformName(p.platform),
+            p.wallSeconds * 1e3, p.events,
+            p.wallSeconds > 0 ? p.events / p.wallSeconds : 0.0,
+            p.gcSeconds, p.energyJ,
+            i + 1 < perf.size() ? "," : "");
+        out << line;
+    }
+    out << "  ],\n";
+    std::snprintf(line, sizeof line,
+                  "  \"total_wall_ms\": %.3f,\n"
+                  "  \"total_events\": %" PRIu64 ",\n"
+                  "  \"events_per_sec\": %.0f,\n"
+                  "  \"peak_rss_kib\": %" PRIu64 ",\n",
+                  totalWall * 1e3, totalEvents,
+                  totalWall > 0 ? totalEvents / totalWall : 0.0,
+                  peakRssKib());
+    out << line;
+    out << "  \"functional_digest\": \"" << digest << "\"\n}\n";
+    return true;
 }
 
 /**
@@ -258,43 +304,18 @@ main(int argc, char **argv)
         totalEvents += p.events;
     }
 
-    std::ofstream out(outPath);
-    if (!out) {
-        std::fprintf(stderr, "perf_replay: cannot write %s\n",
-                     outPath.c_str());
+    // Decided before anything is written: a failing --check keeps
+    // its baseline, so with --out naming the --check file a rerun
+    // fails again.
+    const bool mismatch =
+        !checkPath.empty() && oldDigest != digest.str();
+    std::error_code ec;
+    const bool keepBaseline =
+        mismatch && std::filesystem::equivalent(outPath, checkPath, ec);
+    if (!keepBaseline
+        && !writeResult(outPath, repeat, perf, totalWall, totalEvents,
+                        digest.str()))
         return 1;
-    }
-    out << "{\n  \"bench\": \"perf_replay\",\n";
-    out << "  \"repeat\": " << repeat << ",\n";
-    out << "  \"cells\": [\n";
-    char line[512];
-    for (std::size_t i = 0; i < perf.size(); ++i) {
-        const auto &p = perf[i];
-        std::snprintf(
-            line, sizeof line,
-            "    {\"workload\": \"%s\", \"platform\": \"%s\", "
-            "\"wall_ms\": %.3f, \"events\": %" PRIu64
-            ", \"events_per_sec\": %.0f, \"gc_seconds\": %.17g, "
-            "\"energy_j\": %.17g}%s\n",
-            p.workload.c_str(), sim::platformName(p.platform),
-            p.wallSeconds * 1e3, p.events,
-            p.wallSeconds > 0 ? p.events / p.wallSeconds : 0.0,
-            p.gcSeconds, p.energyJ,
-            i + 1 < perf.size() ? "," : "");
-        out << line;
-    }
-    out << "  ],\n";
-    std::snprintf(line, sizeof line,
-                  "  \"total_wall_ms\": %.3f,\n"
-                  "  \"total_events\": %" PRIu64 ",\n"
-                  "  \"events_per_sec\": %.0f,\n"
-                  "  \"peak_rss_kib\": %" PRIu64 ",\n",
-                  totalWall * 1e3, totalEvents,
-                  totalWall > 0 ? totalEvents / totalWall : 0.0,
-                  peakRssKib());
-    out << line;
-    out << "  \"functional_digest\": \"" << digest.str() << "\"\n}\n";
-    out.close();
 
     std::printf("perf_replay: %zu cells, total wall %.1f ms, "
                 "%.2f M events/sec, peak RSS %" PRIu64 " KiB\n",
@@ -302,20 +323,20 @@ main(int argc, char **argv)
                 totalWall > 0 ? totalEvents / totalWall / 1e6 : 0.0,
                 peakRssKib());
     std::printf("perf_replay: functional digest %s -> %s\n",
-                digest.str().c_str(), outPath.c_str());
+                digest.str().c_str(),
+                keepBaseline ? "(not written)" : outPath.c_str());
 
-    if (!checkPath.empty()) {
-        if (oldDigest != digest.str()) {
-            std::fprintf(stderr,
-                         "perf_replay: FUNCTIONAL DIGEST MISMATCH: "
-                         "%s (this run) vs %s (%s)\n",
-                         digest.str().c_str(), oldDigest.c_str(),
-                         checkPath.c_str());
-            return 1;
-        }
+    if (mismatch) {
+        std::fprintf(stderr,
+                     "perf_replay: FUNCTIONAL DIGEST MISMATCH: "
+                     "%s (this run) vs %s (%s)\n",
+                     digest.str().c_str(), oldDigest.c_str(),
+                     checkPath.c_str());
+        return 1;
+    }
+    if (!checkPath.empty())
         std::printf("perf_replay: functional digest matches %s\n",
                     checkPath.c_str());
-    }
 
     return 0;
 }

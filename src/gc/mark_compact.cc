@@ -1,7 +1,5 @@
 #include "mark_compact.hh"
 
-#include <algorithm>
-
 #include "gc/mark_work.hh"
 #include "sim/logging.hh"
 
@@ -32,12 +30,21 @@ MarkCompact::markPhase()
     opt.dualBitmap = true;
     opt.rootPushGlue = true;
     opt.nullCheckFirst = true;
-    opt.liveOut = &live_;
     MarkStats stats = runMarkClosure(heap_, rec_, opt);
     result_.liveObjects = stats.liveObjects;
     result_.liveBytes = stats.liveBytes;
 
-    std::sort(live_.begin(), live_.end());
+    // The begin map lists the live set in ascending address order.
+    const auto &beg = heap_.begBitmap();
+    const std::uint64_t bits = beg.numBits();
+    live_.reserve(stats.liveObjects);
+    for (std::uint64_t b = beg.findNextSet(0, bits); b < bits;
+         b = beg.findNextSet(b + 1, bits))
+        live_.push_back(beg.bitAddr(b));
+    CHARON_ASSERT(live_.size() == stats.liveObjects,
+                  "begin map holds %zu objects, marking found %llu",
+                  live_.size(),
+                  static_cast<unsigned long long>(stats.liveObjects));
 }
 
 std::uint64_t
@@ -52,52 +59,38 @@ MarkCompact::summaryPhase()
     rec_.beginPhase(PhaseKind::MajorSummary);
     const auto &costs = rec_.costs();
 
-    // Per-region live-word totals (objects straddling region borders
-    // split their words by location, as HotSpot's add_obj does), then
-    // the destination prefix.
+    // Per-region live-word totals and destination prefixes, charged
+    // per region.  The exact destinations are the running prefix of
+    // live words, installed as forwarding pointers only once the
+    // live set is known to fit in Old.
     const std::uint64_t num_regions =
         mem::divCeil(heap_.heapBytes(), kRegionBytes);
-    std::vector<std::uint64_t> region_words(num_regions, 0);
-    for (Addr obj : live_) {
-        Addr end = obj + heap_.sizeBytes(obj);
-        Addr p = obj;
-        while (p < end) {
-            std::uint64_t r = regionOf(p);
-            Addr region_end = heap_.base() + (r + 1) * kRegionBytes;
-            Addr take_end = std::min(end, region_end);
-            region_words[r] += (take_end - p) / 8;
-            p = take_end;
-        }
-    }
-    regionDestWords_.assign(num_regions, 0);
-    std::uint64_t prefix = 0;
     for (std::uint64_t r = 0; r < num_regions; ++r) {
-        regionDestWords_[r] = prefix;
-        prefix += region_words[r];
         rec_.recordGlue(costs.regionSummary, 1);
         rec_.nextThread();
     }
-
-    // Exact destinations for every live object via a running prefix.
-    dest_.resize(live_.size());
-    std::uint64_t words_before = 0;
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-        dest_[i] = heap_.base() + words_before * 8;
-        words_before += heap_.sizeWords(live_[i]);
-    }
     result_.outOfMemory =
-        words_before * 8 > heap_.region(Space::Old).capacity();
+        result_.liveBytes > heap_.region(Space::Old).capacity();
     rec_.endPhase();
+}
+
+void
+MarkCompact::installForwarding()
+{
+    Addr dest = heap_.base();
+    for (Addr obj : live_) {
+        heap_.setForwarding(obj, dest);
+        dest += heap_.sizeBytes(obj);
+    }
 }
 
 Addr
 MarkCompact::lookupNewAddr(Addr obj) const
 {
-    auto it = std::lower_bound(live_.begin(), live_.end(), obj);
-    CHARON_ASSERT(it != live_.end() && *it == obj,
+    CHARON_ASSERT(isMarked(obj) && heap_.isForwarded(obj),
                   "new address of a non-live object 0x%llx",
                   static_cast<unsigned long long>(obj));
-    return dest_[static_cast<std::size_t>(it - live_.begin())];
+    return heap_.forwardee(obj);
 }
 
 Addr
@@ -155,7 +148,8 @@ MarkCompact::compactPhase()
     // move as single bulk copies (region filling), split where the
     // run crosses a cube boundary so the Copy/Search units stay
     // data-local.  Objects already at their destination form the
-    // dense prefix and are not copied at all.
+    // dense prefix and are not copied at all.  Every survivor drops
+    // its forwarding mark and keeps its age.
     Addr run_src = 0, run_dst = 0;
     std::uint64_t run_len = 0;
     auto flush_run = [&] {
@@ -165,18 +159,18 @@ MarkCompact::compactPhase()
         rec_.nextThread();
         run_len = 0;
     };
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-        Addr obj = live_[i];
+    for (Addr obj : live_) {
         Addr dst = newAddrOf(obj);
-        CHARON_ASSERT(dst == dest_[i], "destination mismatch");
         CHARON_ASSERT(dst <= obj, "compaction must move left");
         std::uint64_t bytes = heap_.sizeBytes(obj);
         rec_.recordGlue(costs.allocate, 1);
         if (dst == obj) {
+            heap_.clearForwarding(obj);
             flush_run(); // dense prefix: stays in place
             continue;
         }
         heap_.copyObjectBytes(dst, obj, bytes);
+        heap_.clearForwarding(dst);
         result_.bytesMoved += bytes;
         bool extends = run_len > 0 && obj == run_src + run_len
                        && dst == run_dst + run_len
@@ -204,6 +198,7 @@ MarkCompact::collect()
         rec_.endGc();
         return result_;
     }
+    installForwarding();
     compactPhase();
 
     GcTrace &trace = rec_.endGc();

@@ -15,7 +15,10 @@
  * computed in HotSpot as region_destination +
  * live_words_in_range(region_start, obj) — the Bitmap Count
  * primitive, invoked once per moved object and once per adjusted
- * pointer — followed by the Copy that moves the object.
+ * pointer — followed by the Copy that moves the object.  The model
+ * records those Bitmap Counts but reads the exact destination from a
+ * forwarding pointer installed in each live object's mark word once
+ * the live set is known to fit.
  *
  * All live objects (old and young) compact to the bottom of the Old
  * generation; the young spaces end up empty, like a HotSpot full GC.
@@ -69,19 +72,22 @@ class MarkCompact
     /** Destination of live object @p obj, recording the BitmapCount. */
     mem::Addr newAddrOf(mem::Addr obj);
 
-    /** Exact new address from the prefix structure (no recording). */
+    /**
+     * Forward every live object to its destination (running prefix
+     * of live words).  Only after the OOM check: an OOM collection
+     * leaves the heap untouched.
+     */
+    void installForwarding();
+
+    /** Exact new address from the mark word (no recording). */
     mem::Addr lookupNewAddr(mem::Addr obj) const;
 
     heap::ManagedHeap &heap_;
     TraceRecorder &rec_;
     Result result_;
 
-    /** Live objects in ascending address order (built by mark+sort). */
+    /** Live objects in ascending address order (from the begin map). */
     std::vector<mem::Addr> live_;
-    /** Parallel to live_: exact destination addresses. */
-    std::vector<mem::Addr> dest_;
-    /** Per-region destination prefix in words (summary output). */
-    std::vector<std::uint64_t> regionDestWords_;
 };
 
 } // namespace charon::gc

@@ -1,8 +1,8 @@
 #include "scavenge.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
+#include "heap/bitmap.hh"
 #include "sim/logging.hh"
 
 namespace charon::gc
@@ -29,15 +29,25 @@ Scavenge::estimateDemand() const
     // object as survivor (age+1 < threshold) or promotion.  Used by
     // the policy as HotSpot uses its promotion-guarantee estimate; the
     // totals are exact because survivor overflow conserves bytes.
+    //
+    // The visited set is a bit per young word (the mark-table idiom):
+    // each object start is a distinct word, and the totals do not
+    // depend on the visit order.
     SpaceDemand demand;
-    std::unordered_set<Addr> visited;
+    const auto &eden = heap_.region(Space::Eden);
+    const auto &from = heap_.region(Space::From);
+    const auto &to = heap_.region(Space::To);
+    const Addr young_lo = std::min({eden.start, from.start, to.start});
+    const Addr young_hi = std::max({eden.end, from.end, to.end});
+    heap::MarkBitmap visited(young_lo, young_hi - young_lo,
+                             /*storage_base=*/0);
     std::vector<Addr> stack;
 
     auto consider = [&](Addr target) {
-        if (target == 0 || !heap_.inYoung(target))
+        if (target == 0 || !heap_.inYoung(target) || visited.test(target))
             return;
-        if (visited.insert(target).second)
-            stack.push_back(target);
+        visited.set(target);
+        stack.push_back(target);
     };
 
     for (Addr root : heap_.roots())

@@ -7,52 +7,12 @@
 namespace charon::heap
 {
 
-namespace
-{
-
-// Mark-word encoding: bit 0 = forwarded, bits 1..6 = age,
-// bits 8..63 = forwarding address >> 3.
-constexpr std::uint64_t kFwdFlag = 1ull;
-constexpr std::uint64_t kAgeShift = 1;
-constexpr std::uint64_t kAgeMask = 0x3full << kAgeShift;
-constexpr std::uint64_t kFwdAddrShift = 8;
-
-} // namespace
-
 ObjectArena::ObjectArena(mem::Addr base, std::uint64_t bytes,
                          const KlassTable &klasses)
     : base_(base), bytes_(bytes), klasses_(klasses), data_(bytes)
 {
     CHARON_ASSERT((base & 7) == 0 && (bytes & 7) == 0,
                   "arena must be word aligned");
-}
-
-std::uint8_t *
-ObjectArena::raw(mem::Addr addr)
-{
-    CHARON_ASSERT(contains(addr), "arena access out of bounds: 0x%llx",
-                  static_cast<unsigned long long>(addr));
-    return data_.data() + (addr - base_);
-}
-
-const std::uint8_t *
-ObjectArena::raw(mem::Addr addr) const
-{
-    return const_cast<ObjectArena *>(this)->raw(addr);
-}
-
-std::uint64_t
-ObjectArena::load64(mem::Addr addr) const
-{
-    std::uint64_t v;
-    std::memcpy(&v, raw(addr), 8);
-    return v;
-}
-
-void
-ObjectArena::store64(mem::Addr addr, std::uint64_t value)
-{
-    std::memcpy(raw(addr), &value, 8);
 }
 
 void
@@ -108,66 +68,10 @@ ObjectArena::writeHeader(mem::Addr obj, KlassId klass,
     }
 }
 
-KlassId
-ObjectArena::klassOf(mem::Addr obj) const
-{
-    return static_cast<KlassId>(load64(obj) & 0xffffffffull);
-}
-
-std::uint64_t
-ObjectArena::sizeWords(mem::Addr obj) const
-{
-    return load64(obj) >> 32;
-}
-
-std::uint64_t
-ObjectArena::arrayLength(mem::Addr obj) const
-{
-    return load64(obj + 16);
-}
-
-std::uint64_t
-ObjectArena::refCount(mem::Addr obj) const
-{
-    const Klass &k = klasses_.get(klassOf(obj));
-    if (k.kind == KlassKind::ObjArray)
-        return arrayLength(obj);
-    switch (k.kind) {
-      case KlassKind::Instance:
-      case KlassKind::InstanceMirror:
-      case KlassKind::InstanceClassLoader:
-      case KlassKind::InstanceRef:
-        return k.refFields;
-      default:
-        return 0;
-    }
-}
-
-mem::Addr
-ObjectArena::refSlotAddr(mem::Addr obj, std::uint64_t i) const
-{
-    const Klass &k = klasses_.get(klassOf(obj));
-    if (k.kind == KlassKind::ObjArray)
-        return obj + 24 + i * 8;
-    return obj + 16 + i * 8;
-}
-
-mem::Addr
-ObjectArena::refAt(mem::Addr obj, std::uint64_t i) const
-{
-    return load64(refSlotAddr(obj, i));
-}
-
 void
 ObjectArena::setRef(mem::Addr obj, std::uint64_t i, mem::Addr target)
 {
     store64(refSlotAddr(obj, i), target);
-}
-
-int
-ObjectArena::age(mem::Addr obj) const
-{
-    return static_cast<int>((load64(obj + 8) & kAgeMask) >> kAgeShift);
 }
 
 void
@@ -177,19 +81,6 @@ ObjectArena::setAge(mem::Addr obj, int age)
     mark = (mark & ~kAgeMask)
            | ((static_cast<std::uint64_t>(age) << kAgeShift) & kAgeMask);
     store64(obj + 8, mark);
-}
-
-bool
-ObjectArena::isForwarded(mem::Addr obj) const
-{
-    return load64(obj + 8) & kFwdFlag;
-}
-
-mem::Addr
-ObjectArena::forwardee(mem::Addr obj) const
-{
-    CHARON_ASSERT(isForwarded(obj), "forwardee of unforwarded object");
-    return (load64(obj + 8) >> kFwdAddrShift) << 3;
 }
 
 void

@@ -105,25 +105,6 @@ ManagedHeap::spaceOf(mem::Addr addr) const
     return Space::None;
 }
 
-bool
-ManagedHeap::inYoung(mem::Addr addr) const
-{
-    return eden_.contains(addr) || from_.contains(addr)
-           || to_.contains(addr);
-}
-
-std::uint64_t
-ManagedHeap::load64(mem::Addr addr) const
-{
-    return arena_.load64(addr);
-}
-
-void
-ManagedHeap::store64(mem::Addr addr, std::uint64_t value)
-{
-    arena_.store64(addr, value);
-}
-
 void
 ManagedHeap::copyObjectBytes(mem::Addr dst, mem::Addr src,
                              std::uint64_t bytes)
@@ -235,42 +216,6 @@ ManagedHeap::noteOldAllocation(mem::Addr obj)
         firstObjInCard_[card] = obj;
 }
 
-KlassId
-ManagedHeap::klassOf(mem::Addr obj) const
-{
-    return arena_.klassOf(obj);
-}
-
-std::uint64_t
-ManagedHeap::sizeWords(mem::Addr obj) const
-{
-    return arena_.sizeWords(obj);
-}
-
-std::uint64_t
-ManagedHeap::arrayLength(mem::Addr obj) const
-{
-    return arena_.arrayLength(obj);
-}
-
-std::uint64_t
-ManagedHeap::refCount(mem::Addr obj) const
-{
-    return arena_.refCount(obj);
-}
-
-mem::Addr
-ManagedHeap::refSlotAddr(mem::Addr obj, std::uint64_t i) const
-{
-    return arena_.refSlotAddr(obj, i);
-}
-
-mem::Addr
-ManagedHeap::refAt(mem::Addr obj, std::uint64_t i) const
-{
-    return arena_.refAt(obj, i);
-}
-
 void
 ManagedHeap::storeRef(mem::Addr obj, std::uint64_t i, mem::Addr target)
 {
@@ -282,33 +227,9 @@ ManagedHeap::storeRef(mem::Addr obj, std::uint64_t i, mem::Addr target)
 }
 
 void
-ManagedHeap::setRefRaw(mem::Addr obj, std::uint64_t i, mem::Addr target)
-{
-    store64(refSlotAddr(obj, i), target);
-}
-
-int
-ManagedHeap::age(mem::Addr obj) const
-{
-    return arena_.age(obj);
-}
-
-void
 ManagedHeap::setAge(mem::Addr obj, int age)
 {
     arena_.setAge(obj, age);
-}
-
-bool
-ManagedHeap::isForwarded(mem::Addr obj) const
-{
-    return arena_.isForwarded(obj);
-}
-
-mem::Addr
-ManagedHeap::forwardee(mem::Addr obj) const
-{
-    return arena_.forwardee(obj);
 }
 
 void

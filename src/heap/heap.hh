@@ -90,7 +90,12 @@ class ManagedHeap
     Region &region(Space space);
     const Region &region(Space space) const;
     Space spaceOf(mem::Addr addr) const;
-    bool inYoung(mem::Addr addr) const;
+    bool
+    inYoung(mem::Addr addr) const
+    {
+        return eden_.contains(addr) || from_.contains(addr)
+               || to_.contains(addr);
+    }
     bool inOld(mem::Addr addr) const { return old_.contains(addr); }
     /** [base, base+heapBytes) plus metadata: total VA span. */
     mem::Addr vaLimit() const { return vaLimit_; }
@@ -139,21 +144,36 @@ class ManagedHeap
     // ------------------------------------------------------------------
     // Object access
 
-    KlassId klassOf(mem::Addr obj) const;
-    std::uint64_t sizeWords(mem::Addr obj) const;
+    KlassId klassOf(mem::Addr obj) const { return arena_.klassOf(obj); }
+    std::uint64_t sizeWords(mem::Addr obj) const
+    {
+        return arena_.sizeWords(obj);
+    }
     std::uint64_t sizeBytes(mem::Addr obj) const { return sizeWords(obj) * 8; }
 
     /** Array length (array klasses only). */
-    std::uint64_t arrayLength(mem::Addr obj) const;
+    std::uint64_t arrayLength(mem::Addr obj) const
+    {
+        return arena_.arrayLength(obj);
+    }
 
     /** Number of reference slots in @p obj. */
-    std::uint64_t refCount(mem::Addr obj) const;
+    std::uint64_t refCount(mem::Addr obj) const
+    {
+        return arena_.refCount(obj);
+    }
 
     /** VA of reference slot @p i of @p obj. */
-    mem::Addr refSlotAddr(mem::Addr obj, std::uint64_t i) const;
+    mem::Addr refSlotAddr(mem::Addr obj, std::uint64_t i) const
+    {
+        return arena_.refSlotAddr(obj, i);
+    }
 
     /** Read reference slot @p i. */
-    mem::Addr refAt(mem::Addr obj, std::uint64_t i) const;
+    mem::Addr refAt(mem::Addr obj, std::uint64_t i) const
+    {
+        return arena_.refAt(obj, i);
+    }
 
     /**
      * Mutator reference store: writes slot @p i of @p obj and dirties
@@ -162,11 +182,20 @@ class ManagedHeap
     void storeRef(mem::Addr obj, std::uint64_t i, mem::Addr target);
 
     /** GC-internal slot write: no card marking. */
-    void setRefRaw(mem::Addr obj, std::uint64_t i, mem::Addr target);
+    void setRefRaw(mem::Addr obj, std::uint64_t i, mem::Addr target)
+    {
+        store64(refSlotAddr(obj, i), target);
+    }
 
     /** Raw 64-bit load/store at a heap VA (slots, payload). */
-    std::uint64_t load64(mem::Addr addr) const;
-    void store64(mem::Addr addr, std::uint64_t value);
+    std::uint64_t load64(mem::Addr addr) const
+    {
+        return arena_.load64(addr);
+    }
+    void store64(mem::Addr addr, std::uint64_t value)
+    {
+        arena_.store64(addr, value);
+    }
 
     /**
      * Move @p bytes from @p src to @p dst inside the heap
@@ -176,12 +205,19 @@ class ManagedHeap
                          std::uint64_t bytes);
 
     // ------------------------------------------------------------------
-    // Mark word: age and forwarding (minor GC)
+    // Mark word: age and forwarding (minor-GC copies, full-GC
+    // destinations)
 
-    int age(mem::Addr obj) const;
+    int age(mem::Addr obj) const { return arena_.age(obj); }
     void setAge(mem::Addr obj, int age);
-    bool isForwarded(mem::Addr obj) const;
-    mem::Addr forwardee(mem::Addr obj) const;
+    bool isForwarded(mem::Addr obj) const
+    {
+        return arena_.isForwarded(obj);
+    }
+    mem::Addr forwardee(mem::Addr obj) const
+    {
+        return arena_.forwardee(obj);
+    }
     void setForwarding(mem::Addr obj, mem::Addr to);
     void clearForwarding(mem::Addr obj);
 

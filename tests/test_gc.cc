@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <unordered_set>
+#include <vector>
+
 #include "gc/collector.hh"
 #include "gc/mark_compact.hh"
 #include "gc/mark_sweep.hh"
@@ -47,6 +52,17 @@ class GcTest : public ::testing::Test
             heap->roots().resize(slot + 1, 0);
         heap->roots()[slot] = obj;
         return obj;
+    }
+
+    /** Every heap word, for byte-exact before/after comparisons. */
+    std::vector<std::uint64_t>
+    arenaWords() const
+    {
+        std::vector<std::uint64_t> words;
+        const auto &arena = heap->arena();
+        for (Addr a = arena.base(); a < arena.limit(); a += 8)
+            words.push_back(arena.load64(a));
+        return words;
     }
 
     heap::KlassTable klasses;
@@ -233,6 +249,119 @@ TEST_F(GcTest, TraceCopyBytesMatchFunctionalBytes)
     EXPECT_EQ(trace_bytes, result.bytesCopied + result.bytesPromoted);
 }
 
+namespace
+{
+
+/**
+ * The promotion-guarantee estimate as a plain hash-set traversal:
+ * the same roots and dirty-card holders, any visit order.
+ */
+Scavenge::SpaceDemand
+referenceDemand(const heap::ManagedHeap &h, int threshold)
+{
+    Scavenge::SpaceDemand d;
+    std::unordered_set<Addr> visited;
+    std::vector<Addr> stack;
+    auto consider = [&](Addr t) {
+        if (t != 0 && h.inYoung(t) && visited.insert(t).second)
+            stack.push_back(t);
+    };
+    for (Addr r : h.roots())
+        consider(r);
+    const auto &cards = h.cardTable();
+    for (std::uint64_t c = 0; c < cards.numCards(); ++c) {
+        if (!cards.isDirty(c))
+            continue;
+        Addr end = cards.cardStart(c) + heap::CardTable::kCardBytes;
+        for (Addr o = h.firstObjectOnCard(c);
+             o != 0 && o < end && o < h.region(Space::Old).top;
+             o += h.sizeBytes(o)) {
+            for (std::uint64_t i = 0; i < h.refCount(o); ++i)
+                consider(h.refAt(o, i));
+        }
+    }
+    while (!stack.empty()) {
+        Addr o = stack.back();
+        stack.pop_back();
+        std::uint64_t bytes = h.sizeBytes(o);
+        d.largestObject = std::max(d.largestObject, bytes);
+        (h.age(o) + 1 >= threshold ? d.promoteBytes : d.survivorBytes) +=
+            bytes;
+        for (std::uint64_t i = 0; i < h.refCount(o); ++i)
+            consider(h.refAt(o, i));
+    }
+    return d;
+}
+
+} // namespace
+
+TEST_F(GcTest, EstimateDemandMatchesHashSetTraversal)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        heap = std::make_unique<heap::ManagedHeap>(cfg, klasses);
+        sim::Rng rng(seed);
+        auto alloc_young = [&] {
+            return rng.chance(0.25)
+                       ? heap->allocEden(klasses.objArrayId(),
+                                         rng.range(1, 12))
+                       : heap->allocEden(rng.chance(0.1) ? bigId
+                                                         : nodeId);
+        };
+        auto link = [&](const std::vector<Addr> &from,
+                        const std::vector<Addr> &to, double p) {
+            for (Addr o : from) {
+                for (std::uint64_t i = 0; i < heap->refCount(o); ++i) {
+                    if (rng.chance(p))
+                        heap->storeRef(o, i, to[rng.below(to.size())]);
+                }
+            }
+        };
+        // A first young generation, scavenged into From so the next
+        // one lands beside survivors of other ages.
+        std::vector<Addr> first;
+        for (int i = 0; i < 300; ++i)
+            first.push_back(alloc_young());
+        link(first, first, 0.5);
+        heap->roots().assign(first.begin(), first.begin() + 40);
+        Scavenge(*heap, *rec).collect();
+
+        std::vector<Addr> young(heap->roots().begin(),
+                                heap->roots().end());
+        for (int i = 0; i < 300; ++i)
+            young.push_back(alloc_young());
+        for (Addr o : young)
+            heap->setAge(o, static_cast<int>(rng.below(5)));
+        std::vector<Addr> old;
+        for (int i = 0; i < 150; ++i)
+            old.push_back(heap->allocOldObject(
+                rng.chance(0.3) ? klasses.objArrayId() : nodeId,
+                rng.range(1, 8)));
+        // Old-to-young refs reached only through dirty cards.
+        link(old, young, 0.3);
+        link(old, old, 0.2);
+        link(young, young, 0.4);
+        heap->roots().clear();
+        for (Addr o : young) {
+            if (rng.chance(0.05))
+                heap->roots().push_back(o);
+        }
+        const auto &cards = heap->cardTable();
+        ASSERT_LT(cards.findDirty(0, cards.numCards()), cards.numCards());
+
+        for (int threshold : {1, 2, 3, 6}) {
+            auto got = Scavenge(*heap, *rec, threshold).estimateDemand();
+            auto want = referenceDemand(*heap, threshold);
+            ASSERT_GT(want.liveYoungBytes(), 0u);
+            EXPECT_EQ(got.survivorBytes, want.survivorBytes)
+                << "seed " << seed << " threshold " << threshold;
+            EXPECT_EQ(got.promoteBytes, want.promoteBytes)
+                << "seed " << seed << " threshold " << threshold;
+            EXPECT_EQ(got.largestObject, want.largestObject)
+                << "seed " << seed << " threshold " << threshold;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Major GC
 
@@ -351,9 +480,56 @@ TEST_F(GcTest, MarkCompactOutOfMemoryLeavesHeapIntact)
     (void)big_bytes;
 
     auto before = fingerprintHeap(*heap);
+    auto bytes_before = arenaWords();
     auto result = MarkCompact(*heap, *rec).collect();
     EXPECT_TRUE(result.outOfMemory);
     EXPECT_EQ(fingerprintHeap(*heap), before);
+    // Not one header or slot written: no forwarding was installed.
+    EXPECT_TRUE(arenaWords() == bytes_before);
+}
+
+TEST_F(GcTest, FullGcLeavesNoForwardingAndKeepsAges)
+{
+    // Survivors of every kind: old objects at the bottom that stay in
+    // place (the dense prefix), old objects behind garbage that
+    // slide, and young objects of mixed ages.  Each carries a tag in
+    // its first payload word so it can be found after the move.
+    sim::Rng rng(77);
+    std::map<std::uint64_t, int> age_of_tag;
+    std::uint64_t next_tag = 1;
+    auto keep = [&](Addr o) {
+        int age = static_cast<int>(rng.below(16));
+        heap->setAge(o, age);
+        heap->store64(o + 32, next_tag);
+        age_of_tag[next_tag++] = age;
+        heap->roots().push_back(o);
+    };
+    for (int i = 0; i < 20; ++i)
+        keep(heap->allocOldObject(nodeId));
+    for (int i = 0; i < 200; ++i) {
+        Addr o = heap->allocOldObject(nodeId);
+        if (rng.chance(0.5))
+            keep(o);
+    }
+    for (int i = 0; i < 300; ++i) {
+        Addr o = heap->allocEden(nodeId);
+        if (rng.chance(0.5))
+            keep(o);
+    }
+
+    auto result = MarkCompact(*heap, *rec).collect();
+    ASSERT_FALSE(result.outOfMemory);
+    EXPECT_EQ(result.liveObjects, age_of_tag.size());
+    std::size_t seen = 0;
+    heap->forEachObject(Space::Old, [&](Addr o) {
+        EXPECT_FALSE(heap->isForwarded(o)) << std::hex << o;
+        auto it = age_of_tag.find(heap->load64(o + 32));
+        ASSERT_NE(it, age_of_tag.end()) << std::hex << o;
+        EXPECT_EQ(heap->age(o), it->second) << "tag " << it->first;
+        ++seen;
+    });
+    EXPECT_EQ(seen, age_of_tag.size());
+    checkHeapIntegrity(*heap);
 }
 
 // ---------------------------------------------------------------------

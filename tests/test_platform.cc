@@ -228,7 +228,9 @@ INSTANTIATE_TEST_SUITE_P(
                       sim::PlatformKind::HostHmc,
                       sim::PlatformKind::CharonNmp,
                       sim::PlatformKind::CharonCpuSide,
-                      sim::PlatformKind::Ideal),
+                      sim::PlatformKind::Ideal,
+                      sim::PlatformKind::IgpuOffload,
+                      sim::PlatformKind::CxlMsa),
     [](const ::testing::TestParamInfo<sim::PlatformKind> &info) {
         switch (info.param) {
           case sim::PlatformKind::HostDdr4:      return "Ddr4";
@@ -236,6 +238,8 @@ INSTANTIATE_TEST_SUITE_P(
           case sim::PlatformKind::CharonNmp:     return "Charon";
           case sim::PlatformKind::CharonCpuSide: return "CharonCpu";
           case sim::PlatformKind::Ideal:         return "Ideal";
+          case sim::PlatformKind::IgpuOffload:   return "Igpu";
+          case sim::PlatformKind::CxlMsa:        return "Cxl";
         }
         return "Unknown";
     });

@@ -39,7 +39,8 @@ namespace
 constexpr PlatformKind kAllPlatforms[] = {
     PlatformKind::HostDdr4,      PlatformKind::HostHmc,
     PlatformKind::CharonNmp,     PlatformKind::CharonCpuSide,
-    PlatformKind::Ideal,
+    PlatformKind::Ideal,         PlatformKind::IgpuOffload,
+    PlatformKind::CxlMsa,
 };
 
 void
